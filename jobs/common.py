@@ -12,24 +12,15 @@ import sys
 
 from pyspark.sql import SparkSession
 
+from repro.session import spark_session
+
 RESULTS_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "results")
 
 
 def get_spark(app: str) -> SparkSession:
-    os.environ.setdefault(
-        "PYSPARK_SUBMIT_ARGS",
-        "--master local[*] --driver-memory 8g "
-        "--conf spark.driver.host=127.0.0.1 --conf spark.ui.enabled=false pyspark-shell",
-    )
-    s = (
-        SparkSession.builder.appName(app)
-        .config("spark.sql.shuffle.partitions", "32")
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
-    s.sparkContext.setLogLevel("ERROR")
-    return s
+    """The shared session factory: driver memory follows the host (or
+    ``SPARK_DRIVER_MEM``), 32 shuffle partitions."""
+    return spark_session(app, shuffle_partitions=32)
 
 
 class Tee:

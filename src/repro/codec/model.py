@@ -141,14 +141,18 @@ def decode_speed_x(f: Fidelity, c: Coding, consumer_sampling: Fraction | float, 
     rate from storage format <f, c> (encoded)."""
     assert not c.raw
     frames = decoded_frames_per_s(consumer_sampling, c.keyframe_interval)
-    per_frame = (
+    return 1.0 / (frames * decode_frame_cost_s(f, c, motion))
+
+
+def decode_frame_cost_s(f: Fidelity, c: Coding, motion: float) -> float:
+    """Decoder seconds per frame of storage format <f, c> (encoded)."""
+    return (
         DEC_COST_720_FRAME_S
         * pixel_ratio(f)
         * SPEED_DEC_COST[c.speed_step]
         * QUALITY_DEC[f.quality]
         * (0.9 + 0.35 * motion)
     )
-    return 1.0 / (frames * per_frame)
 
 
 def raw_retrieval_speed_x(f: Fidelity, consumer_sampling: Fraction | float) -> float:

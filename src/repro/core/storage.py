@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from repro.formats import Coding, Fidelity, GOLDEN_CODING, RAW, StorageFormat, cheaper_coding, coding_space, knobwise_max
+from repro.formats import Coding, Fidelity, GOLDEN_CODING, RAW, StorageFormat, cheaper_coding, knobwise_max
 from repro.profiler.storage import StorageProfile, StorageProfiler
 
 
@@ -110,11 +110,9 @@ def choose_coding(
     """Min-storage coding for ``fidelity`` that keeps R2 for ``consumers``;
     falls back to RAW; None if even RAW is too slow (coalesce infeasible)."""
     best: StorageProfile | None = None
-    for c in coding_space():
-        prof = sp.profile(fidelity, c)
-        if _feasible(prof, consumers):
-            if best is None or prof.size_kb_per_s < best.size_kb_per_s:
-                best = prof
+    for prof in sp.coding_profiles(fidelity):
+        if (best is None or prof.size_kb_per_s < best.size_kb_per_s) and _feasible(prof, consumers):
+            best = prof
     if best is not None:
         return best
     raw = sp.profile(fidelity, RAW)
@@ -167,7 +165,8 @@ def initial_nodes(sp: StorageProfiler, consumers: list[Consumer]) -> list[SFNode
     nodes = [golden]
     for cf, cons in sorted(by_cf.items(), key=lambda kv: kv[0].label()):
         prof = choose_coding(sp, cf, cons)
-        assert prof is not None, f"no feasible coding for CF {cf.label()}"
+        if prof is None:
+            raise ValueError(f"no feasible coding for CF {cf.label()}")
         nodes.append(SFNode(fidelity=cf, coding=prof.coding, consumers=cons, profile=prof))
     return nodes
 
@@ -180,8 +179,8 @@ def derive_storage_plan(
     motion: float | None = None,
 ) -> StoragePlan:
     """Greedy coalescing (phase 1) + ingestion-budget adaptation (phase 2)."""
-    if ingest_budget_cores is not None:
-        assert motion is not None, "budget adaptation needs the stream's motion"
+    if ingest_budget_cores is not None and motion is None:
+        raise ValueError("budget adaptation needs the stream's motion")
     runs0, hits0 = sp.runs, sp.hits
     nodes = initial_nodes(sp, consumers)
     plan = StoragePlan(nodes=nodes)

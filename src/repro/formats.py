@@ -47,10 +47,14 @@ class Fidelity:
     crop: float
 
     def __post_init__(self) -> None:
-        assert self.quality in _QIDX, self.quality
-        assert self.resolution in RESOLUTIONS, self.resolution
-        assert self.sampling in SAMPLINGS, self.sampling
-        assert self.crop in CROPS, self.crop
+        for knob, legal in (
+            ("quality", _QIDX),
+            ("resolution", RESOLUTIONS),
+            ("sampling", SAMPLINGS),
+            ("crop", CROPS),
+        ):
+            if getattr(self, knob) not in legal:
+                raise ValueError(f"illegal {knob} {getattr(self, knob)!r}")
 
     @property
     def quality_idx(self) -> int:
@@ -94,9 +98,12 @@ class Coding:
     raw: bool = False
 
     def __post_init__(self) -> None:
-        if not self.raw:
-            assert self.speed_step in _SIDX, self.speed_step
-            assert self.keyframe_interval in KEYFRAME_INTERVALS, self.keyframe_interval
+        if self.raw:
+            return
+        if self.speed_step not in _SIDX:
+            raise ValueError(f"illegal speed step {self.speed_step!r}")
+        if self.keyframe_interval not in KEYFRAME_INTERVALS:
+            raise ValueError(f"illegal keyframe interval {self.keyframe_interval!r}")
 
     @property
     def speed_idx(self) -> int:

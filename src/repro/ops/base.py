@@ -93,7 +93,7 @@ class Operator:
 
     # -- execution ------------------------------------------------------------
 
-    def _streams(self, frames: pd.DataFrame) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def streams(self, frames: pd.DataFrame) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Decorrelated per-operator latent streams from the shared frame
         latents (stable across fidelities — that is the whole point)."""
         off = (hashable_index(self.name) + 1) * _GOLDEN_RATIO
@@ -103,7 +103,7 @@ class Operator:
         return u, v, w
 
     def ground_truth(self, frames: pd.DataFrame, motion: float, event_rate: float) -> np.ndarray:
-        u, _, _ = self._streams(frames)
+        u, _, _ = self.streams(frames)
         return u < self.positive_rate(motion, event_rate)
 
     def detect(
@@ -115,12 +115,18 @@ class Operator:
         precision == recall == R in expectation, hence measured F1 ~= R.
         Shared latents make detection sets nested across fidelities.
         """
-        u, v, w = self._streams(frames)
+        u, v, w = self.streams(frames)
         pos = self.positive_rate(motion, event_rate)
-        r = self.accuracy(f, motion)
-        fp = float(np.clip(pos * (1.0 - r) / max(1.0 - pos, 1e-9), 0.0, 1.0))
+        r, fp = self.detection_thresholds(f, motion, pos)
         gt = u < pos
         return (gt & (v < r)) | (~gt & (w < fp))
+
+    def detection_thresholds(self, f: Fidelity, motion: float, pos: float) -> tuple[float, float]:
+        """(retention, false-positive rate) at fidelity ``f``: a positive frame
+        is detected iff ``v < retention``, a negative one iff ``w < fp``."""
+        r = self.accuracy(f, motion)
+        fp = float(np.clip(pos * (1.0 - r) / max(1.0 - pos, 1e-9), 0.0, 1.0))
+        return r, fp
 
 
 def hashable_index(name: str) -> int:
@@ -135,6 +141,11 @@ def f1_score(gt: np.ndarray, pred: np.ndarray) -> float:
     tp = int(np.sum(gt & pred))
     fp = int(np.sum(~gt & pred))
     fn = int(np.sum(gt & ~pred))
+    return f1_from_counts(tp, fp, fn)
+
+
+def f1_from_counts(tp: int, fp: int, fn: int) -> float:
+    """F1 from true-positive, false-positive and false-negative counts."""
     if tp == 0:
         return 0.0
     prec = tp / (tp + fp)

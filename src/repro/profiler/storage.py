@@ -13,14 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from repro.codec.model import (
-    DEC_COST_720_FRAME_S,
-    QUALITY_DEC,
-    SPEED_DEC_COST,
+    decode_frame_cost_s,
     decoded_frames_per_s,
     raw_retrieval_speed_x,
     size_kb_per_s,
 )
-from repro.formats import Coding, Fidelity, pixel_ratio
+from repro.formats import Coding, Fidelity, coding_space
 from repro.video.datasets import Dataset
 
 
@@ -50,6 +48,8 @@ class StorageProfiler:
         self.memo: dict[tuple[Fidelity, Coding], StorageProfile] = {}
         self.runs = 0  # actual profiling work (cache misses)
         self.hits = 0  # memoized reuse
+        # per fidelity, its profiles under every encoded coding
+        self._rows: dict[Fidelity, tuple[StorageProfile, ...]] = {}
 
     def profile(self, f: Fidelity, c: Coding) -> StorageProfile:
         key = (f, c)
@@ -58,21 +58,22 @@ class StorageProfiler:
             return self.memo[key]
         self.runs += 1
         motion = self.ds.motion
-        if c.raw:
-            dec = 0.0
-        else:
-            dec = (
-                DEC_COST_720_FRAME_S
-                * pixel_ratio(f)
-                * SPEED_DEC_COST[c.speed_step]
-                * QUALITY_DEC[f.quality]
-                * (0.9 + 0.35 * motion)
-            )
         prof = StorageProfile(
             fidelity=f,
             coding=c,
             size_kb_per_s=size_kb_per_s(f, c, motion),
-            decode_frame_cost_s=dec,
+            decode_frame_cost_s=0.0 if c.raw else decode_frame_cost_s(f, c, motion),
         )
         self.memo[key] = prof
         return prof
+
+    def coding_profiles(self, f: Fidelity) -> tuple[StorageProfile, ...]:
+        """Profiles of ``f`` under every encoded coding, in ``coding_space()``
+        order. Runs and hits advance exactly as one ``profile`` call per
+        coding would advance them; the fidelity is hashed once per call."""
+        row = self._rows.get(f)
+        if row is None:
+            row = self._rows[f] = tuple(self.profile(f, c) for c in coding_space())
+        else:
+            self.hits += len(row)
+        return row

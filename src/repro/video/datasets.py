@@ -10,7 +10,6 @@ at 720p30 h264. We have no video data, so each dataset is a content profile:
   and sampling-related accuracy loss (high motion punishes sparse sampling).
 - ``event_rate``: fraction of frames containing a query-relevant event
   (cars / plates / moving objects); drives cascade selectivity.
-- ``bitrate_kbps``: per-dataset base bitrate scale for the codec model.
 
 Profiles are the only thing the VStore algorithms ever observe about a video,
 so this substitution preserves the behaviour being studied (see DESIGN.md §2).

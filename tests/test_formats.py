@@ -1,9 +1,13 @@
 """Knob inventory and richer-than partial order (paper Table 1, §2.3)."""
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import repro.formats
 from repro.formats import (
     CROPS,
     GOLDEN_CODING,
@@ -177,12 +181,28 @@ class TestCoding:
         assert sf.label() == "best-540p-1/30-100% [10-fast]"
 
     def test_invalid_knobs_rejected(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             F("ultra", 720, S(1), 1.0)
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             F("best", 719, S(1), 1.0)
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             Coding("warp", 10)
+
+    def test_validation_survives_optimized_mode(self):
+        # `python -O` strips asserts; knob validation must still raise
+        code = (
+            "from fractions import Fraction\n"
+            "from repro.formats import Coding, Fidelity\n"
+            "for make in (lambda: Fidelity('best', 720, Fraction(1, 3), 1.0), lambda: Coding('med', 7)):\n"
+            "    try:\n"
+            "        make()\n"
+            "    except ValueError:\n"
+            "        continue\n"
+            "    raise SystemExit(1)\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.formats.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0
 
 
 class TestPixels:

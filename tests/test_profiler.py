@@ -65,8 +65,12 @@ class TestConsumptionProfiler:
             assert a.speed_x == pytest.approx(b.speed_x)
 
     def test_spark_mode_requires_session(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             ConsumptionProfiler(DATASETS["miami"], None, mode="spark")
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError):
+            ConsumptionProfiler(DATASETS["miami"], mode="gpu")
 
 
 class TestStorageProfiler:
