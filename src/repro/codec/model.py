@@ -140,8 +140,17 @@ def decode_speed_x(f: Fidelity, c: Coding, consumer_sampling: Fraction | float, 
     """Decode throughput in x-realtime for a consumer sampling at the given
     rate from storage format <f, c> (encoded)."""
     assert not c.raw
-    frames = decoded_frames_per_s(consumer_sampling, c.keyframe_interval)
-    return 1.0 / (frames * decode_frame_cost_s(f, c, motion))
+    return decode_speed_x_from_cost(
+        decode_frame_cost_s(f, c, motion), consumer_sampling, c.keyframe_interval
+    )
+
+
+def decode_speed_x_from_cost(
+    frame_cost_s: float, consumer_sampling: Fraction | float, kfi: int
+) -> float:
+    """Decode throughput in x-realtime given the decoder seconds per frame
+    (``decode_frame_cost_s``) and the chunk length M of the stored format."""
+    return 1.0 / (decoded_frames_per_s(consumer_sampling, kfi) * frame_cost_s)
 
 
 def decode_frame_cost_s(f: Fidelity, c: Coding, motion: float) -> float:

@@ -149,6 +149,15 @@ def _merged(sp: StorageProfiler, a: SFNode, b: SFNode) -> SFNode | None:
     )
 
 
+def _replace_pair(
+    nodes: list[SFNode], pair: tuple[int, int], merged: SFNode
+) -> list[SFNode]:
+    """``nodes`` with the two nodes at ``pair`` replaced by their coalesced
+    node, keeping the golden format at index 0."""
+    rest = [n for k, n in enumerate(nodes) if k not in pair]
+    return ([merged] + rest) if merged.golden else (rest[:1] + [merged] + rest[1:])
+
+
 def initial_nodes(sp: StorageProfiler, consumers: list[Consumer]) -> list[SFNode]:
     """Full SF set: golden + one SF per unique CF (paper Fig 9, right side)."""
     by_cf: dict[Fidelity, list[Consumer]] = {}
@@ -198,10 +207,7 @@ def derive_storage_plan(
                 best_delta, best_pair, best_node = delta, (i, j), m
         if best_pair is None:
             break
-        i, j = best_pair
-        nodes = [n for k, n in enumerate(nodes) if k not in (i, j)]
-        # keep golden at index 0
-        nodes = ([best_node] + nodes) if best_node.golden else (nodes[:1] + [best_node] + nodes[1:])
+        nodes = _replace_pair(nodes, best_pair, best_node)
         plan.rounds += 1
         plan.nodes = nodes
 
@@ -267,9 +273,8 @@ def _adapt_to_budget(
                 golden=n.golden,
             )
         else:
-            _, (i, j), m = action
-            rest = [n for k, n in enumerate(plan.nodes) if k not in (i, j)]
-            plan.nodes = ([m] + rest) if m.golden else (rest[:1] + [m] + rest[1:])
+            _, pair, m = action
+            plan.nodes = _replace_pair(plan.nodes, pair, m)
         plan.rounds += 1
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from repro.codec.model import (
     decode_frame_cost_s,
-    decoded_frames_per_s,
+    decode_speed_x_from_cost,
     raw_retrieval_speed_x,
     size_kb_per_s,
 )
@@ -36,8 +36,9 @@ class StorageProfile:
         rate — decode-bound for encoded formats, disk-bound for RAW."""
         if self.coding.raw:
             return raw_retrieval_speed_x(self.fidelity, consumer_sampling)
-        frames = decoded_frames_per_s(consumer_sampling, self.coding.keyframe_interval)
-        return 1.0 / (frames * self.decode_frame_cost_s)
+        return decode_speed_x_from_cost(
+            self.decode_frame_cost_s, consumer_sampling, self.coding.keyframe_interval
+        )
 
 
 class StorageProfiler:

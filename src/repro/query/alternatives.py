@@ -15,11 +15,10 @@ retrieved from (SF)? The four providers mirror the paper's comparison:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from repro.codec.model import retrieval_speed_x
 from repro.core.config import VStoreConfig
-from repro.core.storage import Consumer, choose_coding
+from repro.core.storage import initial_nodes
 from repro.formats import Fidelity, GOLDEN_CODING, StorageFormat
 from repro.ops.base import Operator
 from repro.ops.library import OPERATORS
@@ -108,24 +107,16 @@ def one_to_n_provider(cfg: VStoreConfig, motion: float) -> FormatProvider:
 
 
 def n_to_n_provider(cfg: VStoreConfig, motion: float) -> FormatProvider:
-    """One SF per unique CF, adequate min-size coding, no coalescing."""
-    sprof = StorageProfiler(DATASETS[PROFILING_DATASET["B"]])
-    by_cf: dict[Fidelity, list[Consumer]] = {}
-    for c in cfg.consumers:
-        by_cf.setdefault(c.cf, []).append(c)
-    sfs: dict[str, StorageFormat] = {}
-    cf_to_id: dict[Fidelity, str] = {}
-    for i, (cf, cons) in enumerate(
-        sorted(by_cf.items(), key=lambda kv: kv[0].label())
-    ):
-        prof = choose_coding(sprof, cf, cons)
-        assert prof is not None
-        sf_id = f"SF{i:02d}"
-        sfs[sf_id] = StorageFormat(cf, prof.coding)
-        cf_to_id[cf] = sf_id
+    """One SF per unique CF, adequate min-size coding, no coalescing: the
+    §4.3 initial SF set without its golden format."""
+    nodes = initial_nodes(
+        StorageProfiler(DATASETS[PROFILING_DATASET["B"]]), cfg.consumers
+    )[1:]
+    sfs = {f"SF{i:02d}": n.storage_format() for i, n in enumerate(nodes)}
+    sf_ids = {c: sf_id for sf_id, n in zip(sfs, nodes) for c in n.consumers}
     entries = {}
     for c in cfg.consumers:
-        sf_id = cf_to_id[c.cf]
+        sf_id = sf_ids[c]
         entries[(c.op_name, c.target_acc)] = _entry(
             c.cf, sfs[sf_id], sf_id, OPERATORS[c.op_name], motion
         )

@@ -25,7 +25,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.ops.library import CASCADES, OPERATORS
-from repro.query.alternatives import FormatProvider
+from repro.query.alternatives import FormatProvider, StagePlanEntry
 from repro.video.datasets import Dataset
 from repro.video.frames import sampled_frame_mask, segment_frames, segments_df
 
@@ -87,70 +87,53 @@ class QueryResult:
         return self.video_seconds / self.sim_time_s
 
 
-def stage_rows(
+def stage_plan(
     provider: FormatProvider, ds: Dataset, accuracy: float
-) -> list[dict]:
-    """Per-stage plan for one query, resolved from the format provider."""
-    rows = []
-    for stage, op_name in enumerate(CASCADES[ds.query]):
-        e = provider.entry(op_name, accuracy)
-        rows.append(
-            {
-                "stage": stage,
-                "op": op_name,
-                "cf": e.cf,
-                "sf_id": e.sf_id,
-                "ret_x": e.retrieval_x,
-                "cons_x": e.consumption_speed_x,
-            }
-        )
-    return rows
+) -> tuple[StagePlanEntry, ...]:
+    """The provider's plan for each stage of the dataset's cascade, in
+    ``CASCADES[ds.query]`` order."""
+    return tuple(provider.entry(op_name, accuracy) for op_name in CASCADES[ds.query])
 
 
-def run_query(
+def cascade_rows(
     spark: SparkSession,
-    provider: FormatProvider,
     ds: Dataset,
-    accuracy: float,
+    plan: tuple[StagePlanEntry, ...],
     *,
-    hours: float = 1.0,
-) -> QueryResult:
-    """Execute the dataset's cascade at one accuracy over ``hours`` of video."""
-    plan = stage_rows(provider, ds, accuracy)
-    segs = segments_df(spark, ds, hours=hours)
-    ds_name = ds.name
-    motion, event_rate = ds.motion, ds.event_rate
+    hours: float,
+) -> DataFrame:
+    """The cascade kernel: one ``STAGE_SCHEMA`` row per (segment, stage) over
+    ``hours`` of the stream, from one ``mapInPandas`` pass."""
+    stages = list(enumerate(zip(CASCADES[ds.query], plan)))
 
     def run(batches: Iterable[pd.DataFrame]):
-        from repro.video.datasets import dataset as _lookup
-
-        d = _lookup(ds_name)
         for pdf in batches:
             out = []
             for r in pdf.itertuples(index=False):
-                frames = segment_frames(d, int(r.segment_id))
+                frames = segment_frames(ds, int(r.segment_id))
                 n = len(frames)
                 active = np.ones(n, dtype=bool)
-                for st in plan:
+                for stage, (op_name, e) in stages:
                     frac_in = float(active.mean())
-                    mask = active & sampled_frame_mask(n, st["cf"].sampling)
+                    mask = active & sampled_frame_mask(n, e.cf.sampling)
                     processed = frames[mask]
-                    op = OPERATORS[st["op"]]
                     if len(processed):
-                        pred = op.detect(processed, st["cf"], motion, event_rate)
+                        pred = OPERATORS[op_name].detect(
+                            processed, e.cf, ds.motion, ds.event_rate
+                        )
                     else:
                         pred = np.zeros(0, dtype=bool)
                     t = (
                         frac_in
                         * int(r.seconds)
-                        * max(1.0 / st["ret_x"], 1.0 / st["cons_x"])
+                        * max(1.0 / e.retrieval_x, 1.0 / e.consumption_speed_x)
                         + (OVERHEAD_S if frac_in > 0 else 0.0)
                     )
                     out.append(
                         (
                             int(r.segment_id),
-                            st["stage"],
-                            st["op"],
+                            stage,
+                            op_name,
                             frac_in,
                             int(pred.sum()),
                             int(len(processed)),
@@ -173,9 +156,22 @@ def run_query(
                 ],
             )
 
-    rows = segs.mapInPandas(run, schema=STAGE_SCHEMA)
+    return segments_df(spark, ds, hours=hours).mapInPandas(run, schema=STAGE_SCHEMA)
+
+
+def run_query(
+    spark: SparkSession,
+    provider: FormatProvider,
+    ds: Dataset,
+    accuracy: float,
+    *,
+    hours: float = 1.0,
+) -> QueryResult:
+    """Execute the dataset's cascade at one accuracy over ``hours`` of video."""
+    plan = stage_plan(provider, ds, accuracy)
     agg = (
-        rows.groupBy("stage", "op")
+        cascade_rows(spark, ds, plan, hours=hours)
+        .groupBy("stage", "op")
         .agg(
             F.avg("frac_in").alias("frac_in"),
             F.sum("sim_time_s").alias("sim_time_s"),
@@ -187,14 +183,14 @@ def run_query(
     stages = tuple(
         StageExec(
             op_name=a["op"],
-            cf_label=provider.entry(a["op"], accuracy).cf.label(),
-            sf_id=provider.entry(a["op"], accuracy).sf_id,
-            retrieval_x=provider.entry(a["op"], accuracy).retrieval_x,
-            consumption_x=provider.entry(a["op"], accuracy).consumption_speed_x,
+            cf_label=e.cf.label(),
+            sf_id=e.sf_id,
+            retrieval_x=e.retrieval_x,
+            consumption_x=e.consumption_speed_x,
             frac_in=float(a["frac_in"]),
             sim_time_s=float(a["sim_time_s"]),
         )
-        for a in agg
+        for a, e in zip(agg, plan, strict=True)
     )
     return QueryResult(
         provider=provider.name,
@@ -215,32 +211,7 @@ def detections_df(
     hours: float = 0.1,
 ) -> DataFrame:
     """Per-(segment, stage) detection counts — used by oracle-checked tests."""
-    plan = stage_rows(provider, ds, accuracy)
-    segs = segments_df(spark, ds, hours=hours)
-    ds_name = ds.name
-    motion, event_rate = ds.motion, ds.event_rate
-
-    def run(batches: Iterable[pd.DataFrame]):
-        from repro.video.datasets import dataset as _lookup
-
-        d = _lookup(ds_name)
-        for pdf in batches:
-            out = []
-            for r in pdf.itertuples(index=False):
-                frames = segment_frames(d, int(r.segment_id))
-                n = len(frames)
-                active = np.ones(n, dtype=bool)
-                for st in plan:
-                    mask = active & sampled_frame_mask(n, st["cf"].sampling)
-                    processed = frames[mask]
-                    op = OPERATORS[st["op"]]
-                    pred = (
-                        op.detect(processed, st["cf"], motion, event_rate)
-                        if len(processed)
-                        else np.zeros(0, dtype=bool)
-                    )
-                    out.append((int(r.segment_id), st["stage"], st["op"], int(pred.sum())))
-                    active = _propagate(active, mask, pred, n)
-            yield pd.DataFrame(out, columns=["segment_id", "stage", "op", "flagged"])
-
-    return segs.mapInPandas(run, schema="segment_id long, stage long, op string, flagged long")
+    plan = stage_plan(provider, ds, accuracy)
+    return cascade_rows(spark, ds, plan, hours=hours).select(
+        "segment_id", "stage", "op", "flagged"
+    )

@@ -30,9 +30,12 @@ class Dataset:
     source: str  # camera type, for documentation
 
     def __post_init__(self) -> None:
-        assert 0.0 < self.motion < 1.0
-        assert 0.0 < self.event_rate < 1.0
-        assert self.query in ("A", "B")
+        if not 0.0 < self.motion < 1.0:
+            raise ValueError(f"motion must be in (0, 1), got {self.motion}")
+        if not 0.0 < self.event_rate < 1.0:
+            raise ValueError(f"event_rate must be in (0, 1), got {self.event_rate}")
+        if self.query not in ("A", "B"):
+            raise ValueError(f"query must be 'A' or 'B', got {self.query!r}")
 
 
 DATASETS: dict[str, Dataset] = {

@@ -91,32 +91,3 @@ def segments_df(
         }
     )
     return spark.createDataFrame(pdf)
-
-
-def frames_df(
-    spark: SparkSession,
-    ds: Dataset,
-    segment_ids: list[int],
-    *,
-    seconds: int = SEGMENT_SECONDS,
-) -> DataFrame:
-    """Frames of the given segments as one Spark DataFrame (for profiling and
-    query execution; generated per-partition inside a mapInPandas pass)."""
-    seg_df = spark.createDataFrame(
-        pd.DataFrame({"dataset": ds.name, "segment_id": np.int64(segment_ids)})
-    )
-    name = ds.name
-    secs = seconds
-
-    def gen(batches):
-        from repro.video.datasets import dataset as _lookup
-
-        for pdf in batches:
-            for seg in pdf["segment_id"]:
-                yield segment_frames(_lookup(name), int(seg), seconds=secs)
-
-    schema = (
-        "dataset string, segment_id long, frame_id long, local_motion double, "
-        "u double, v double, w double"
-    )
-    return seg_df.mapInPandas(gen, schema=schema)

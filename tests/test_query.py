@@ -1,13 +1,26 @@
 """§6.2 end-to-end query execution: VStore vs 1->1, 1->N, N->N (Fig 11)."""
+import numpy as np
+import pandas as pd
 import pytest
 
 from repro.codec.model import decode_speed_x
 from repro.codec.transcode import ingest_cores_per_stream, storage_kb_per_s
 from repro.core.config import ConfigOptions, derive_config
+from repro.core.storage import initial_nodes
+from repro.formats import SEGMENT_SECONDS
+from repro.ops.library import CASCADES, OPERATORS
 from repro.oracle import assert_equivalent
+from repro.profiler.storage import StorageProfiler
 from repro.query.alternatives import make_provider
-from repro.query.cascade import detections_df, run_query
-from repro.video.datasets import DATASETS
+from repro.query.cascade import (
+    OVERHEAD_S,
+    cascade_rows,
+    detections_df,
+    run_query,
+    stage_plan,
+)
+from repro.video.datasets import DATASETS, PROFILING_DATASET
+from repro.video.frames import sampled_frame_mask, segment_frames
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +44,16 @@ class TestProviders:
 
     def test_n_to_n_one_sf_per_cf(self, providers, cfg):
         assert len(providers["N->N"].sfs) == cfg.unique_cf_count()
+
+    def test_n_to_n_is_initial_sf_set_without_golden(self, providers, cfg):
+        # N->N stores §4.3's starting point: one min-size adequate SF per CF
+        sp = StorageProfiler(DATASETS[PROFILING_DATASET["B"]])
+        nodes = initial_nodes(sp, cfg.consumers)[1:]
+        nn = providers["N->N"]
+        assert nn.sfs == {f"SF{i:02d}": n.storage_format() for i, n in enumerate(nodes)}
+        for n in nodes:
+            for c in n.consumers:
+                assert nn.entry(c.op_name, c.target_acc).sf == n.storage_format()
 
     def test_one_to_one_consumes_golden_fidelity(self, providers, cfg):
         g = cfg.storage.golden.fidelity
@@ -137,6 +160,76 @@ class TestQueryExecution:
         last = det.filter("stage = 2").agg({"flagged": "sum"}).collect()[0][0]
         first = det.filter("stage = 0").agg({"flagged": "sum"}).collect()[0][0]
         assert 0 <= last and first > 0
+
+
+def reference_rows(ds, plan, segment_ids) -> pd.DataFrame:
+    """The cascade the long way, one frame at a time: each active frame goes
+    on to the next stage with the verdict of the latest processed frame at or
+    before it (the first processed frame's, for frames before that)."""
+    rows = []
+    for seg in segment_ids:
+        frames = segment_frames(ds, seg)
+        n = len(frames)
+        active = np.ones(n, dtype=bool)
+        for stage, (op_name, e) in enumerate(zip(CASCADES[ds.query], plan)):
+            frac_in = active.sum() / n
+            mask = active & sampled_frame_mask(n, e.cf.sampling)
+            idx = np.flatnonzero(mask)
+            pred = (
+                OPERATORS[op_name].detect(frames[mask], e.cf, ds.motion, ds.event_rate)
+                if len(idx)
+                else np.zeros(0, dtype=bool)
+            )
+            t = frac_in * SEGMENT_SECONDS * max(
+                1.0 / e.retrieval_x, 1.0 / e.consumption_speed_x
+            ) + (OVERHEAD_S if frac_in > 0 else 0.0)
+            rows.append(
+                (seg, stage, op_name, frac_in, pred.sum(), len(idx), t, SEGMENT_SECONDS)
+            )
+            verdict = dict(zip(idx, pred))
+            last = pred[0] if len(pred) else False
+            nxt = np.zeros(n, dtype=bool)
+            for i in range(n):
+                last = verdict.get(i, last)
+                nxt[i] = active[i] and last
+            active = nxt
+    return pd.DataFrame(
+        rows,
+        columns=[
+            "segment_id", "stage", "op", "frac_in", "flagged", "processed",
+            "sim_time_s", "seconds",
+        ],
+    )
+
+
+class TestCascadeKernel:
+    @pytest.mark.parametrize(
+        "kind,name,acc", [("vstore", "jackson", 0.9), ("N->N", "park", 0.7)]
+    )
+    def test_run_query_aggregates_kernel_rows(self, spark, cfg, kind, name, acc):
+        # the kernel's rows match the frame-by-frame reference, and run_query's
+        # per-stage numbers are DuckDB's aggregate of those same rows
+        ds, hours = DATASETS[name], 0.02
+        provider = make_provider(kind, cfg, ds.motion)
+        plan = stage_plan(provider, ds, acc)
+        rows = cascade_rows(spark, ds, plan, hours=hours).toPandas()
+        n_segs = int(hours * 3600 / SEGMENT_SECONDS)
+        pd.testing.assert_frame_equal(
+            rows.sort_values(["segment_id", "stage"]).reset_index(drop=True),
+            reference_rows(ds, plan, range(n_segs)),
+            check_dtype=False,
+        )
+        r = run_query(spark, provider, ds, acc, hours=hours)
+        got = spark.createDataFrame(
+            [(i, s.op_name, s.frac_in, s.sim_time_s) for i, s in enumerate(r.stages)],
+            "stage long, op string, frac_in double, sim_time_s double",
+        )
+        assert_equivalent(
+            got,
+            "SELECT stage, op, avg(frac_in) AS frac_in, sum(sim_time_s) AS sim_time_s "
+            "FROM rows GROUP BY stage, op",
+            rows=rows,
+        )
 
 
 class TestStorageAndIngestCosts:
